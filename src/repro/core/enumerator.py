@@ -16,11 +16,20 @@ the templates, infeasible candidates (odd-length job-to-job connectors,
 connectors longer than the query's hop bound, …) are pruned during the search
 rather than filtered afterwards.  The :meth:`ViewEnumerator.search_space_report`
 method quantifies that reduction for the §IV-A benchmark.
+
+Enumeration is memoized by *query shape*: the candidates depend only on the
+MATCH pattern and the projected variables (the only parts of a query that
+:func:`~repro.core.facts.query_to_facts` and the template converters read,
+besides ``query.name``), on the schema, and on the template library — and the
+last two are fixed per enumerator.  Queries that differ only in WHERE
+literals, LIMIT, DISTINCT or aliases therefore share one inference-engine
+solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.core.facts import query_to_facts, schema_to_facts
@@ -37,6 +46,21 @@ from repro.graph.schema import GraphSchema
 from repro.inference.database import RuleDatabase
 from repro.inference.engine import InferenceEngine
 from repro.query.ast import GraphQuery
+
+#: Memoized query shapes retained at once per enumerator (oldest evicted
+#: first), bounded like the other Kaskade caches.
+_MAX_ENUMERATED_SHAPES = 512
+
+
+def query_shape(query: GraphQuery) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The literal-free part of a query that enumeration depends on.
+
+    The rendering of each MATCH path plus the projected variables: WHERE
+    literals, LIMIT, DISTINCT, aliases and the query name are left out, so
+    queries differing only in those share a memoized enumeration.
+    """
+    return (tuple(str(path) for path in query.match),
+            tuple(query.projected_variables()))
 
 
 @dataclass
@@ -101,38 +125,41 @@ class ViewEnumerator:
         self.max_depth = max_depth
         self._schema_facts = schema_to_facts(schema)
         self._static_rules = mining_rules() + all_template_rules()
+        # query shape -> (candidates, solutions examined).  Lookups are
+        # lock-free dict reads; only inserts (and eviction) take the lock.
+        self._memo: dict[tuple, tuple[tuple[ViewCandidate, ...], int]] = {}
+        self._memo_lock = threading.Lock()
+        # Memo hit/miss counters (read by the metrics layer); plain ints, a
+        # lost increment under concurrency only skews telemetry.
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # ------------------------------------------------------------------ public
     def enumerate(self, query: GraphQuery) -> EnumerationResult:
-        """Enumerate candidate views for a query."""
-        engine = self._build_engine(query)
-        result = EnumerationResult(query=query)
-        seen_signatures: set[tuple] = set()
+        """Enumerate candidate views for a query.
 
-        for template in self.templates:
-            solutions = engine.query_distinct(template.goal)
-            result.solutions_examined += len(solutions)
-            for solution in solutions:
-                candidate = template.convert(solution, query)
-                if candidate is None:
-                    continue
-                signature = candidate.definition.signature()
-                if signature in seen_signatures:
-                    continue
-                seen_signatures.add(signature)
-                result.candidates.append(candidate)
-
-        for aggregate in self.aggregate_templates:
-            solutions = engine.query_distinct(aggregate.goal)
-            result.solutions_examined += len(solutions)
-            candidate = aggregate.converter(solutions, query)
-            if candidate is None:
-                continue
-            signature = candidate.definition.signature()
-            if signature not in seen_signatures:
-                seen_signatures.add(signature)
-                result.candidates.append(candidate)
-        return result
+        Memoized by :func:`query_shape`: a repeated shape skips the inference
+        engine and gets the stored candidates rebound to ``query.name``.
+        Every call returns a fresh result, so mutating it never reaches the
+        memo.
+        """
+        key = query_shape(query)
+        entry = self._memo.get(key)
+        if entry is None:
+            self.memo_misses += 1
+            fresh = self._solve(query)
+            entry = (tuple(fresh.candidates), fresh.solutions_examined)
+            with self._memo_lock:
+                if key not in self._memo and len(self._memo) >= _MAX_ENUMERATED_SHAPES:
+                    self._memo.pop(next(iter(self._memo)), None)
+                self._memo[key] = entry
+            return fresh
+        self.memo_hits += 1
+        candidates, examined = entry
+        return EnumerationResult(
+            query=query,
+            candidates=[replace(c, query_name=query.name) for c in candidates],
+            solutions_examined=examined)
 
     def enumerate_workload(self, queries: Iterable[GraphQuery]) -> list[EnumerationResult]:
         """Enumerate candidates for every query in a workload."""
@@ -168,6 +195,37 @@ class ViewEnumerator:
         )
 
     # ----------------------------------------------------------------- internal
+    def _solve(self, query: GraphQuery) -> EnumerationResult:
+        """Evaluate every template head for ``query`` in the inference engine."""
+        engine = self._build_engine(query)
+        result = EnumerationResult(query=query)
+        seen_signatures: set[tuple] = set()
+
+        for template in self.templates:
+            solutions = engine.query_distinct(template.goal)
+            result.solutions_examined += len(solutions)
+            for solution in solutions:
+                candidate = template.convert(solution, query)
+                if candidate is None:
+                    continue
+                signature = candidate.definition.signature()
+                if signature in seen_signatures:
+                    continue
+                seen_signatures.add(signature)
+                result.candidates.append(candidate)
+
+        for aggregate in self.aggregate_templates:
+            solutions = engine.query_distinct(aggregate.goal)
+            result.solutions_examined += len(solutions)
+            candidate = aggregate.converter(solutions, query)
+            if candidate is None:
+                continue
+            signature = candidate.definition.signature()
+            if signature not in seen_signatures:
+                seen_signatures.add(signature)
+                result.candidates.append(candidate)
+        return result
+
     def _build_engine(self, query: GraphQuery) -> InferenceEngine:
         database = RuleDatabase()
         database.add_all(self._schema_facts)

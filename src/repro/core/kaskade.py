@@ -500,8 +500,7 @@ class Kaskade:
 
     # ---------------------------------------------------------------- execution
     def execute(self, query: GraphQuery, use_views: bool = True,
-                max_work: int | None = None, engine: str = "planner",
-                *, max_bindings: int | None = None) -> QueryOutcome:
+                max_work: int | None = None, engine: str = "planner") -> QueryOutcome:
         """Execute a query, choosing base vs. best view by planned cost.
 
         The decision mirrors §V-C at execution time: the base query is
@@ -518,14 +517,11 @@ class Kaskade:
                 latter runs the seed backtracking engine (the same
                 base-vs-view choice still applies) and is what differential
                 tests compare against.
-            max_bindings: Deprecated alias for ``max_work``.
         """
         start = time.perf_counter()
         if engine not in ENGINES:
             raise QueryExecutionError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if max_work is None:
-            max_work = max_bindings
         if use_views and self.auto_refresh and len(self.catalog):
             self.refresh_views()
         base = self.storage.store_for(self.graph)
@@ -536,7 +532,9 @@ class Kaskade:
         cached = self.plan_cached(query, base) if engine == "planner" else None
         self._count_plan_cache(cached)
         base_cost = self.plan_for(query, base).estimated_cost
-        rewrite = self.rewrite(query) if use_views else None
+        # Like the service path: with no materialized view there is nothing
+        # to rewrite onto, so enumeration is skipped outright.
+        rewrite = self.rewrite(query) if use_views and len(self.catalog) else None
         rewrite_cost = self._rewrite_cost(rewrite) if rewrite is not None else None
         considered = rewrite.candidate.definition.name if rewrite is not None else None
 

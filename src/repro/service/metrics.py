@@ -335,6 +335,14 @@ class ServiceMetrics:
         self.plan_cache_misses = r.counter(
             "kaskade_plan_cache_misses_total",
             "Executed queries that had to be planned from scratch")
+        # Enumeration-memo outcomes are owned by the bound ViewEnumerator and
+        # sampled at scrape; both series read 0 until one is bound.
+        self._enumerator = None
+        r.counter_callback(
+            "kaskade_enumeration_cache_total",
+            "View-enumeration calls answered from the query-shape memo "
+            "(result=hit) or solved in the inference engine (result=miss)",
+            self._enumeration_cache_samples)
         self.view_hits = r.counter(
             "kaskade_view_hits_total",
             "Queries answered through a materialized-view rewrite")
@@ -427,6 +435,18 @@ class ServiceMetrics:
         self.mutations_total.inc(mutations)
 
     # ---------------------------------------------------------- registration
+    def bind_enumerator(self, enumerator) -> None:
+        """Export a :class:`~repro.core.enumerator.ViewEnumerator`'s memo
+        hit/miss counters as ``kaskade_enumeration_cache_total``."""
+        self._enumerator = enumerator
+
+    def _enumeration_cache_samples(self):
+        enumerator = self._enumerator
+        hits = enumerator.memo_hits if enumerator is not None else 0
+        misses = enumerator.memo_misses if enumerator is not None else 0
+        return [({"result": "hit"}, float(hits)),
+                ({"result": "miss"}, float(misses))]
+
     def bind_snapshots(self, snapshots) -> None:
         """Register callback gauges over a :class:`SnapshotManager`."""
         r = self.registry

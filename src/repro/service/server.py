@@ -116,6 +116,7 @@ class GraphService:
         self.metrics = metrics or ServiceMetrics()
         self.metrics.bind_snapshots(self.snapshots)
         self.metrics.bind_admission(self.admission)
+        self.metrics.bind_enumerator(kaskade.enumerator)
         if durability is not None:
             self.metrics.bind_durability(durability)
         if faults is not None:

@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from repro.core import Kaskade
+from repro.datasets.provenance import provenance_graph
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -11,6 +13,7 @@ from repro.service.metrics import (
     MetricsRegistry,
     ServiceMetrics,
 )
+from repro.service.server import GraphService
 
 
 class TestCounter:
@@ -180,3 +183,26 @@ class TestServiceMetrics:
         assert 'kaskade_parallel_dispatch_total{path="single"} 0' in text
         assert "kaskade_shard_count" in text
         assert "kaskade_shard_edge_balance_ratio" in text
+
+    def test_enumeration_cache_preseeded_at_zero(self):
+        text = ServiceMetrics().render()
+        assert "# TYPE kaskade_enumeration_cache_total counter" in text
+        assert 'kaskade_enumeration_cache_total{result="hit"} 0' in text
+        assert 'kaskade_enumeration_cache_total{result="miss"} 0' in text
+
+    def test_repeated_query_shape_counts_as_an_enumeration_hit(self):
+        kaskade = Kaskade(provenance_graph(num_jobs=20, seed=3))
+        kaskade.select_views([kaskade.parse(
+            "MATCH (a:Job)-[:WRITES_TO]->(f:File)-[:IS_READ_BY]->(b:Job) "
+            "RETURN a, b")], budget_edges=10_000_000)
+        service = GraphService(kaskade)
+        enumerator = kaskade.enumerator
+        hits, misses = enumerator.memo_hits, enumerator.memo_misses
+        band = "MATCH (j:Job) WHERE j.cpu > {} RETURN j"
+        for literal in (1, 2, 3):
+            response = service.handle("POST", "/query", {"query": band.format(literal)})
+            assert response.status == 200
+        text = service.handle("GET", "/metrics", None).body
+        # One solve for the new shape, then two answers from the memo.
+        assert f'kaskade_enumeration_cache_total{{result="miss"}} {misses + 1}' in text
+        assert f'kaskade_enumeration_cache_total{{result="hit"}} {hits + 2}' in text
