@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analytics import kernels, parallel
+from repro.analytics import kernels
 from repro.graph.property_graph import PropertyGraph, VertexId
 from repro.storage.base import GraphLike
 
@@ -29,7 +29,7 @@ def label_propagation(graph: GraphLike, passes: int = 25,
     iterations (or earlier convergence), the labels are optionally written
     back as a vertex property, mirroring the update-style query Q7.
 
-    On a CSR store the passes run as an index-space kernel
+    On a CSR store the passes run as a vectorized kernel
     (:func:`repro.analytics.kernels.label_propagation`); the dict-store
     reference below precomputes the string tie-break order once and tracks
     the running (count, rank) winner per vertex instead of building a
@@ -46,15 +46,11 @@ def label_propagation(graph: GraphLike, passes: int = 25,
     """
     if passes < 0:
         raise ValueError(f"passes must be >= 0, got {passes}")
-    store = kernels.resolve_store(graph)
-    if store is not None:
-        result = parallel.try_parallel(store, "label_propagation",
-                                       passes=passes,
-                                       write_property=write_property)
-        if result is not parallel.MISS:
-            return result
-        return kernels.label_propagation(store, passes=passes,
-                                         write_property=write_property)
+    result = kernels.run_vectorized(graph, kernels.label_propagation,
+                                    passes=passes,
+                                    write_property=write_property)
+    if result is not kernels.REFERENCE:
+        return result
     labels: dict[VertexId, VertexId] = {v.id: v.id for v in graph.vertices()}
     vertex_order = sorted(labels, key=str)
     # str(label) tie-breaks become integer rank comparisons, computed once.

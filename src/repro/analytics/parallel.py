@@ -1,7 +1,7 @@
 """Shard-parallel kernel execution over shared-memory CSR partitions.
 
-The fourth dispatch tier.  :mod:`repro.analytics.kernels` gives three
-(vectorized / loops / reference); this module adds **parallel**: the frozen
+The third dispatch tier.  :mod:`repro.analytics.kernels` gives two
+(vectorized / reference); this module adds **parallel**: the frozen
 store is split into hash-owned row shards by
 :class:`~repro.storage.partition.GraphPartitioner`, the shard arenas live in
 ``multiprocessing.shared_memory``, and a persistent :class:`ShardWorkerPool`
@@ -32,7 +32,8 @@ Work split and merge, per kernel:
 * **degree sweeps** — each worker diffs its own shard's offsets and returns
   owned-row degrees; the orchestrator scatters them into one dense array.
 
-Dispatch mirrors the existing tiers: public analytics functions call
+Dispatch mirrors the existing tiers: the kernel seam the public analytics
+functions share (:func:`repro.analytics.kernels.run_vectorized`) calls
 :func:`try_parallel` first, which returns :data:`MISS` (fall through to the
 single-CSR kernels) unless a healthy partition is registered or the store is
 large enough (:data:`SHARD_MIN_EDGES_ENV`, default
@@ -63,10 +64,7 @@ import threading
 import time
 import weakref
 
-try:  # pragma: no cover - numpy ships in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 try:  # pragma: no cover - stdlib, but some platforms lack _multiprocessing
     import multiprocessing as _mp
@@ -83,8 +81,7 @@ from repro.storage.partition import (
 )
 
 #: Environment variable pinning the single-process tiers when set to ``1`` —
-#: the escape hatch mirroring ``ANALYTICS_FORCE_REFERENCE`` /
-#: ``ANALYTICS_FORCE_LOOPS`` one tier up.
+#: the escape hatch mirroring ``ANALYTICS_FORCE_REFERENCE`` one tier up.
 FORCE_SINGLE_ENV = "ANALYTICS_FORCE_SINGLE"
 
 #: Environment variable overriding the edge-count floor below which stores
@@ -108,6 +105,10 @@ _DEFAULT_TIMEOUT = 120.0
 #: run and the caller must fall through to the single-CSR kernels.  (``None``
 #: would be ambiguous: kernels legitimately return empty results.)
 MISS = object()
+
+#: The kernels :class:`PartitionedAnalytics` serves, by kernel name.
+SHARDED_KERNELS = frozenset({"bulk_k_hop_counts", "k_hop_neighborhood",
+                             "label_propagation"})
 
 
 def forced_single() -> bool:
@@ -678,7 +679,7 @@ def resolve_parallel(store) -> PartitionedAnalytics | None:
     """The handle a kernel call should fan out through, or None.
 
     A registered healthy handle wins.  Otherwise the store auto-partitions
-    when it is clearly worth it: ndarray-backed, at least
+    when it is clearly worth it: at least
     :func:`shard_min_edges` edges, vectorized tier enabled, multiprocessing
     present, more than one core, and no ``ANALYTICS_FORCE_SINGLE=1`` pin.
     """
@@ -690,7 +691,7 @@ def resolve_parallel(store) -> PartitionedAnalytics | None:
             or not multiprocessing_available()
             or (os.cpu_count() or 1) < 2
             or store.num_edges < shard_min_edges()
-            or not kernels.vectorized_enabled(store)):
+            or not kernels.vectorized_enabled()):
         return None
     try:
         return partition_store(store)
@@ -708,13 +709,16 @@ def _eligible(store) -> bool:
 def try_parallel(store, op: str, **kwargs):
     """Run ``op`` on the parallel tier, or return :data:`MISS`.
 
-    The single dispatch seam the public analytics functions call: resolves a
+    Called by :func:`repro.analytics.kernels.run_vectorized` before the
+    single-CSR kernel: for a kernel in :data:`SHARDED_KERNELS`, resolves a
     handle (registered or auto-created), runs the kernel, and degrades to
     :data:`MISS` — retiring the handle — if the pool is unavailable, so the
     caller transparently falls back to the single-CSR tiers.  Worker-side
     exceptions (:class:`~repro.errors.WorkerError`) propagate: they mean a
     bug, not a capacity condition.
     """
+    if op not in SHARDED_KERNELS:
+        return MISS
     handle = resolve_parallel(store)
     if handle is None:
         if _eligible(store) and not forced_single():

@@ -5,9 +5,10 @@ These are the graph primitives behind queries Q1–Q3 of the evaluation workload
 neighbourhood of (all) vertices, and the job blast radius which aggregates a
 property over the downstream set.
 
-Every function dispatches through :mod:`repro.analytics.kernels`: when the
-input is (or auto-freezes into) a :class:`~repro.storage.csr.CSRGraphStore`,
-the traversal runs as an index-space kernel over the CSR arrays; otherwise the
+Every function dispatches through :func:`repro.analytics.kernels.run_vectorized`:
+when the input is (or auto-freezes into) a
+:class:`~repro.storage.csr.CSRGraphStore` and the vectorized tier is on, the
+traversal runs as a whole-array kernel over the CSR arrays; otherwise the
 dict-store reference implementation below runs — and stays the differential
 oracle the kernels are pinned against.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.analytics import kernels, parallel
+from repro.analytics import kernels
 from repro.graph.property_graph import VertexId
 from repro.storage.base import GraphLike
 
@@ -41,19 +42,22 @@ def k_hop_neighborhood(graph: GraphLike, source: VertexId, max_hops: int,
     """
     if max_hops < 0:
         raise ValueError(f"max_hops must be >= 0, got {max_hops}")
-    store = kernels.resolve_store(graph)
-    if store is not None:
-        result = parallel.try_parallel(store, "k_hop_neighborhood",
-                                       source=source, max_hops=max_hops,
-                                       direction=direction,
-                                       edge_labels=edge_labels,
-                                       include_source=include_source)
-        if result is not parallel.MISS:
-            return result
-        return kernels.k_hop_neighborhood(store, source, max_hops,
-                                          direction=direction,
-                                          edge_labels=edge_labels,
-                                          include_source=include_source)
+    result = kernels.run_vectorized(graph, kernels.k_hop_neighborhood,
+                                    source=source, max_hops=max_hops,
+                                    direction=direction,
+                                    edge_labels=edge_labels,
+                                    include_source=include_source)
+    if result is not kernels.REFERENCE:
+        return result
+    return _k_hop_reference(graph, source, max_hops, direction, edge_labels,
+                            include_source)
+
+
+def _k_hop_reference(graph: GraphLike, source: VertexId, max_hops: int,
+                     direction: str = "out",
+                     edge_labels: Iterable[str] | None = None,
+                     include_source: bool = False) -> dict[VertexId, int]:
+    """The dict-store body of :func:`k_hop_neighborhood`."""
     allowed = set(edge_labels) if edge_labels is not None else None
     distances: dict[VertexId, int] = {source: 0}
     frontier = [source]
@@ -116,8 +120,8 @@ def bulk_k_hop_counts(graph: GraphLike, max_hops: int, direction: str = "out",
 
     The all-vertices variants of Q2/Q3 ("how many ancestors/descendants does
     each job have?").  On a CSR store this runs as one bulk kernel sweep
-    sharing a single epoch-stamped visited buffer across sources; on the dict
-    reference path it degrades to one traversal per anchor.
+    advancing every source together; on the dict reference path it degrades
+    to one traversal per anchor.
 
     Args:
         graph: Input graph.
@@ -132,28 +136,20 @@ def bulk_k_hop_counts(graph: GraphLike, max_hops: int, direction: str = "out",
     """
     if max_hops < 0:
         raise ValueError(f"max_hops must be >= 0, got {max_hops}")
-    store = kernels.resolve_store(graph)
-    if store is not None:
-        result = parallel.try_parallel(store, "bulk_k_hop_counts",
-                                       max_hops=max_hops, direction=direction,
-                                       anchors=anchors,
-                                       anchor_type=anchor_type,
-                                       vertex_type=vertex_type,
-                                       edge_labels=edge_labels)
-        if result is not parallel.MISS:
-            return result
-        return kernels.bulk_k_hop_counts(store, max_hops, direction=direction,
-                                         anchors=anchors,
-                                         anchor_type=anchor_type,
-                                         vertex_type=vertex_type,
-                                         edge_labels=edge_labels)
+    result = kernels.run_vectorized(graph, kernels.bulk_k_hop_counts,
+                                    max_hops=max_hops, direction=direction,
+                                    anchors=anchors, anchor_type=anchor_type,
+                                    vertex_type=vertex_type,
+                                    edge_labels=edge_labels)
+    if result is not kernels.REFERENCE:
+        return result
     anchor_ids = (list(anchors) if anchors is not None
                   else graph.vertex_ids(anchor_type))
     counts: dict[VertexId, int] = {}
     for anchor in anchor_ids:
-        reached = k_hop_neighborhood(graph, anchor, max_hops,
-                                     direction=direction,
-                                     edge_labels=edge_labels)
+        reached = _k_hop_reference(graph, anchor, max_hops,
+                                   direction=direction,
+                                   edge_labels=edge_labels)
         counts[anchor] = len(_filter_by_type(graph, reached, vertex_type))
     return counts
 
@@ -161,20 +157,28 @@ def bulk_k_hop_counts(graph: GraphLike, max_hops: int, direction: str = "out",
 def descendants(graph: GraphLike, source: VertexId, max_hops: int,
                 vertex_type: str | None = None) -> set[VertexId]:
     """Forward data lineage of a vertex, optionally restricted to one type (Q3)."""
-    store = kernels.resolve_store(graph)
-    if store is not None:
-        return kernels.k_hop_reachable(store, source, max_hops, "out", vertex_type)
-    reached = k_hop_neighborhood(graph, source, max_hops, direction="out")
+    if max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0, got {max_hops}")
+    result = kernels.run_vectorized(graph, kernels.k_hop_reachable,
+                                    source=source, max_hops=max_hops,
+                                    direction="out", vertex_type=vertex_type)
+    if result is not kernels.REFERENCE:
+        return result
+    reached = _k_hop_reference(graph, source, max_hops, direction="out")
     return _filter_by_type(graph, reached, vertex_type)
 
 
 def ancestors(graph: GraphLike, source: VertexId, max_hops: int,
               vertex_type: str | None = None) -> set[VertexId]:
     """Backward data lineage of a vertex, optionally restricted to one type (Q2)."""
-    store = kernels.resolve_store(graph)
-    if store is not None:
-        return kernels.k_hop_reachable(store, source, max_hops, "in", vertex_type)
-    reached = k_hop_neighborhood(graph, source, max_hops, direction="in")
+    if max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0, got {max_hops}")
+    result = kernels.run_vectorized(graph, kernels.k_hop_reachable,
+                                    source=source, max_hops=max_hops,
+                                    direction="in", vertex_type=vertex_type)
+    if result is not kernels.REFERENCE:
+        return result
+    reached = _k_hop_reference(graph, source, max_hops, direction="in")
     return _filter_by_type(graph, reached, vertex_type)
 
 
@@ -214,12 +218,12 @@ def blast_radius(graph: GraphLike, max_hops: int = 10,
     Returns:
         One entry per anchor job, sorted by descending total CPU.
     """
-    store = kernels.resolve_store(graph)
-    if store is not None:
-        rows = kernels.blast_radius_rows(store, max_hops=max_hops,
-                                         job_type=job_type,
-                                         cpu_property=cpu_property,
-                                         anchors=anchors)
+    if max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0, got {max_hops}")
+    rows = kernels.run_vectorized(graph, kernels.blast_radius_rows,
+                                  max_hops=max_hops, job_type=job_type,
+                                  cpu_property=cpu_property, anchors=anchors)
+    if rows is not kernels.REFERENCE:
         entries = [BlastRadiusEntry(job=job, downstream_jobs=downstream,
                                     total_cpu=total, average_cpu=average)
                    for job, downstream, total, average in rows]
@@ -228,7 +232,7 @@ def blast_radius(graph: GraphLike, max_hops: int = 10,
     anchor_ids = list(anchors) if anchors is not None else graph.vertex_ids(job_type)
     entries = []
     for job_id in anchor_ids:
-        reached = k_hop_neighborhood(graph, job_id, max_hops, direction="out")
+        reached = _k_hop_reference(graph, job_id, max_hops, direction="out")
         downstream = [vid for vid in reached if graph.vertex(vid).type == job_type]
         cpu_values = [float(graph.vertex(vid).get(cpu_property, 0.0)) for vid in downstream]
         total = sum(cpu_values)

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 from typing import Any
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in CI; loops fallback
-    _np = None
+import numpy as _np
 
 from repro.analytics import kernels
 from repro.errors import QueryExecutionError
@@ -65,8 +62,8 @@ class PhysicalExecutor:
     def execute(self, plan: LogicalPlan) -> ExecutionResult:
         """Evaluate a plan and return projected rows plus work counters."""
         graph = self.graph
-        if isinstance(graph, CSRGraphStore):
-            kernels.note_dispatch(kernels.kernel_tier(graph))
+        if isinstance(graph, CSRGraphStore) and kernels.vectorized_enabled():
+            kernels.note_dispatch("vectorized")
         else:
             kernels.note_dispatch("reference")
         stats = ExecutionStats()
@@ -153,8 +150,8 @@ class PhysicalExecutor:
         :meth:`~repro.storage.csr.CSRGraphStore.gather_neighbors` call for
         the batch's distinct sources; a label-only target predicate is then
         applied as one boolean mask over the flat result.  ``None`` when the
-        graph cannot gather (dict store, no numpy, or a forced tier) — the
-        caller falls back to per-source expansion.
+        graph cannot gather (dict store, or the vectorized tier is off) —
+        the caller falls back to per-source expansion.
 
         Work accounting is identical to the per-source path: unfiltered
         neighbor counts are charged per distinct source in first-encounter
@@ -162,8 +159,8 @@ class PhysicalExecutor:
         ``edges_expanded`` value.
         """
         graph = self.graph
-        if (_np is None or not isinstance(graph, CSRGraphStore)
-                or not kernels.vectorized_enabled(graph)):
+        if (not isinstance(graph, CSRGraphStore)
+                or not kernels.vectorized_enabled()):
             return None
         sources: list[VertexId] = []
         seen: set[VertexId] = set()

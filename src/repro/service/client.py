@@ -16,7 +16,7 @@ this module makes them *survivable for callers*:
   trips, letting one probe through per ``reset_seconds`` (half-open).  The
   same class guards the analytics kernels' vectorized tier: installed via
   :func:`repro.analytics.kernels.install_breaker`, repeated vectorized-path
-  failures degrade dispatch to the always-correct reference/loops tiers.
+  failures degrade dispatch to the always-correct dict-store reference.
 
 The HTTP transport is ``http.client`` (stdlib, matching the server's
 dependency-free stance) and is pluggable for tests.

@@ -372,13 +372,13 @@ class ServiceMetrics:
             "Faults the chaos injector actually fired, by point and mode")
         self.kernel_dispatch = r.counter(
             "kaskade_kernel_dispatch_total",
-            "Kernel tier decisions (path=vectorized/loops/reference) made "
+            "Kernel tier decisions (path=vectorized/reference) made "
             "while this registry is subscribed")
-        # Pre-seed every tier so /metrics always exposes all three series,
+        # Pre-seed every tier so /metrics always exposes both series,
         # then mirror the analytics dispatcher's decisions into the counter.
         # The subscription holds only a weak reference, so a discarded
         # ServiceMetrics (and its registry) is dropped automatically.
-        for path in ("vectorized", "loops", "reference"):
+        for path in ("vectorized", "reference"):
             self.kernel_dispatch.inc(0.0, path=path)
         from repro.analytics import kernels
 

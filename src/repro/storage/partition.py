@@ -3,7 +3,7 @@
 The single-process analytics tier runs every kernel over one monolithic
 :class:`~repro.storage.csr.CSRGraphStore` on one core.  This module is the
 storage half of the shard-parallel tier: :class:`GraphPartitioner` splits a
-frozen ndarray-backed CSR store into ``num_shards`` **row partitions** —
+frozen CSR store into ``num_shards`` **row partitions** —
 shard ``s`` holds the complete adjacency rows (out, in, per-label, and
 undirected) of the vertices it *owns* (``owner[v] == s``), over the shared
 global interned vertex space — and packs every shard's arrays into one
@@ -45,13 +45,10 @@ never log leaked-segment warnings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - numpy ships in CI; the tier requires it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 try:  # pragma: no cover - stdlib, but gate like multiprocessing itself
     from multiprocessing import shared_memory as _shm
@@ -78,7 +75,7 @@ _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 
 def shared_memory_available() -> bool:
     """Whether this platform can back shard arenas with shared memory."""
-    return _shm is not None and _np is not None
+    return _shm is not None
 
 
 def owner_of_indices(indices, num_shards: int):
@@ -331,12 +328,8 @@ class GraphPartitioner:
     def partition(self, store: "CSRGraphStore") -> GraphPartition:
         if not shared_memory_available():
             raise GraphError(
-                "shared-memory partitioning requires numpy and "
+                "shared-memory partitioning requires "
                 "multiprocessing.shared_memory")
-        if not store.uses_ndarrays:
-            raise GraphError(
-                "shared-memory partitioning requires an ndarray-backed "
-                "CSRGraphStore (numpy present at freeze time)")
         from repro.analytics.kernels import _str_rank_array
 
         n = store.num_vertices
@@ -422,8 +415,8 @@ class AttachedPartition:
     """
 
     def __init__(self, spec: PartitionSpec, shard_index: int) -> None:
-        if _np is None or _shm is None:
-            raise GraphError("attaching a partition requires numpy and "
+        if _shm is None:
+            raise GraphError("attaching a partition requires "
                              "multiprocessing.shared_memory")
         self.spec = spec
         self.shard_index = shard_index

@@ -254,6 +254,10 @@ def test_zero_hops_never_validates_anchors():
     assert (path_lengths(graph, "ghost", max_hops=0)
             == path_lengths(store, "ghost", max_hops=0)
             == [])
+    # Negative hop bounds are rejected on both tiers alike.
+    for target in (graph, store):
+        with pytest.raises(ValueError):
+            blast_radius(target, max_hops=-1)
 
 
 def test_invalidate_retracts_published_snapshot():

@@ -19,6 +19,7 @@ import sys
 from multiprocessing import shared_memory
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analytics import community, kernels, parallel, traversal
@@ -34,10 +35,8 @@ from repro.service.mvcc import SnapshotManager
 from repro.storage.csr import CSRGraphStore
 
 pytestmark = pytest.mark.skipif(
-    not (kernels.numpy_available() and parallel.multiprocessing_available()),
-    reason="parallel tier requires numpy and multiprocessing.shared_memory")
-
-np = pytest.importorskip("numpy")
+    not parallel.multiprocessing_available(),
+    reason="parallel tier requires multiprocessing.shared_memory")
 
 
 def star_graph() -> PropertyGraph:

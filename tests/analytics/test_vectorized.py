@@ -1,37 +1,31 @@
 """Tier-pinned tests for the vectorized analytics kernels.
 
-The analytics stack has three execution tiers — **vectorized** (numpy
-whole-array kernels), **loops** (pure-python index-space kernels, the
-automatic fallback when numpy is absent), and **reference** (the dict-store
-implementations).  These tests pin each tier explicitly through the
-environment escape hatches and assert:
+The analytics stack has two execution tiers — **vectorized** (numpy
+whole-array kernels over the CSR ndarrays) and **reference** (the dict-store
+implementations, the oracle).  These tests pin each tier explicitly through
+the ``ANALYTICS_FORCE_REFERENCE`` escape hatch and assert:
 
-* three-way row identity (``vectorized == loops == reference``) plus
-  deterministic-counter parity between the two CSR tiers,
+* row identity (``vectorized == reference``) across directions, label
+  filters and type masks,
 * dtype edge cases — empty graphs, single vertices, self-loop-heavy graphs,
   and the ``int32`` → ``int64`` widening guard (driven by shrinking
   :data:`repro.storage.csr._INT32_LIMIT`, not by building 2-billion-edge
   graphs),
-* the numpy-absent fallback: stores built without numpy (stdlib ``array``
-  backing) and kernels dispatched without numpy both land on the loop tier
-  with identical results,
-* the physical executor's batched gather path agrees with the loop path on
-  rows, work counters, and ``max_work`` budget enforcement,
+* the physical executor's batched gather path agrees with the per-source
+  path on rows, work counters, and ``max_work`` budget enforcement,
 * MVCC-pinned service snapshots return identical rows whichever tier
   executes them,
 * ``compute_statistics`` / ``out_degree_histogram`` produce field-by-field
   identical results on the ndarray and dict scan paths,
 * every tier decision lands in :data:`repro.analytics.kernels.dispatch_counts`
   and mirrors into ``kaskade_kernel_dispatch_total{path=...}``.
-
-Each test re-pins the tiers it needs, so the whole file is meaningful both
-in the default CI leg and under the ``ANALYTICS_FORCE_LOOPS=1`` fallback leg.
 """
 
 from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
 
 from repro.analytics import bulk_k_hop_counts, kernels, label_propagation
@@ -42,7 +36,6 @@ from repro.datasets.provenance import (
 )
 from repro.datasets.random_graphs import erdos_renyi_graph, power_law_graph
 from repro.errors import QueryExecutionError
-from repro.graph import statistics as graph_statistics
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.statistics import compute_statistics, out_degree_histogram
 from repro.query import execute_query, parse_query
@@ -51,20 +44,13 @@ from repro.service.mvcc import SnapshotManager
 from repro.storage import csr
 from repro.storage.csr import CSRGraphStore
 
-needs_numpy = pytest.mark.skipif(not kernels.numpy_available(),
-                                 reason="vectorized tier requires numpy")
-
-
 def pin_tier(monkeypatch, tier: str) -> None:
-    """Pin kernel dispatch to one tier via the environment escape hatches."""
-    monkeypatch.delenv(kernels.FORCE_LOOPS_ENV, raising=False)
-    monkeypatch.delenv(kernels.FORCE_REFERENCE_ENV, raising=False)
-    if tier == "loops":
-        monkeypatch.setenv(kernels.FORCE_LOOPS_ENV, "1")
-    elif tier == "reference":
+    """Pin kernel dispatch to one tier via the environment escape hatch."""
+    if tier == "reference":
         monkeypatch.setenv(kernels.FORCE_REFERENCE_ENV, "1")
     else:
         assert tier == "vectorized"
+        monkeypatch.delenv(kernels.FORCE_REFERENCE_ENV, raising=False)
 
 
 def self_loop_heavy_graph() -> PropertyGraph:
@@ -99,14 +85,12 @@ def tier_graph(request):
 
 
 # ------------------------------------------------------- three-way identity
-@needs_numpy
 def test_three_way_bulk_k_hop_identity(tier_graph, monkeypatch):
-    """vectorized == loops == reference, per anchor, across directions,
-    label filters, and type masks — and the two CSR tiers consume exactly
-    the same number of adjacency entries."""
+    """vectorized kernel == reference on the CSR store == reference on the
+    dict graph, per anchor, across directions, label filters, and type
+    masks.  The middle leg is what an open circuit breaker serves."""
     graph = tier_graph
     store = CSRGraphStore.from_graph(graph)
-    assert store.uses_ndarrays
     labels = graph.edge_labels()
     cases = [
         dict(direction="out"),
@@ -116,72 +100,60 @@ def test_three_way_bulk_k_hop_identity(tier_graph, monkeypatch):
         dict(direction="both", edge_labels=labels),
         dict(direction="out", vertex_type=graph.vertex_types()[0]),
     ]
-    stats = {}
-    rows = {}
-    for tier in ("vectorized", "loops", "reference"):
-        pin_tier(monkeypatch, tier)
-        if tier == "reference":
-            rows[tier] = [bulk_k_hop_counts(graph, 3, **case)
-                          for case in cases]
-            continue
-        assert kernels.kernel_tier(store) == tier
-        stats[tier] = kernels.KernelStats()
-        rows[tier] = [kernels.bulk_k_hop_counts(store, 3, stats=stats[tier],
-                                                **case)
-                      for case in cases]
-    assert rows["vectorized"] == rows["loops"] == rows["reference"]
-    assert stats["vectorized"].traversal_edges == stats["loops"].traversal_edges
-    assert stats["vectorized"].sources == stats["loops"].sources
-    assert stats["vectorized"].batched_ops > 0
-    assert stats["loops"].batched_ops == 0
+    pin_tier(monkeypatch, "reference")
+    reference = [bulk_k_hop_counts(graph, 3, **case) for case in cases]
+    on_store = [bulk_k_hop_counts(store, 3, **case) for case in cases]
+    pin_tier(monkeypatch, "vectorized")
+    stats = kernels.KernelStats()
+    vectorized = [kernels.bulk_k_hop_counts(store, 3, stats=stats, **case)
+                  for case in cases]
+    assert vectorized == on_store == reference
+    assert stats.batched_ops > 0
 
 
-@needs_numpy
 def test_three_way_label_propagation_identity(tier_graph, monkeypatch):
     graph = tier_graph
     store = CSRGraphStore.from_graph(graph)
-    rows = {}
-    for tier in ("vectorized", "loops", "reference"):
-        pin_tier(monkeypatch, tier)
-        target = graph if tier == "reference" else store
-        rows[tier] = [label_propagation(target, passes=passes,
-                                        write_property=None)
-                      for passes in (0, 1, 3, 9)]
-    assert rows["vectorized"] == rows["loops"] == rows["reference"]
+
+    def run(target):
+        return [label_propagation(target, passes=passes, write_property=None)
+                for passes in (0, 1, 3, 9)]
+
+    pin_tier(monkeypatch, "reference")
+    reference, on_store = run(graph), run(store)
+    pin_tier(monkeypatch, "vectorized")
+    assert run(store) == on_store == reference
 
 
-@needs_numpy
-def test_vectorized_write_back_matches_loops(monkeypatch):
-    """The Q7 write-back lands identical labels on the live graph from
-    either CSR tier (property dicts are shared with the source graph)."""
+def test_vectorized_write_back_matches_reference(monkeypatch):
+    """The Q7 write-back lands the reference's labels on the live graph
+    (property dicts are shared with the source graph)."""
     graph = self_loop_heavy_graph()
     store = CSRGraphStore.from_graph(graph)
-    pin_tier(monkeypatch, "loops")
-    expected = label_propagation(store, passes=4, write_property=None)
+    pin_tier(monkeypatch, "reference")
+    expected = label_propagation(graph, passes=4, write_property=None)
     pin_tier(monkeypatch, "vectorized")
     label_propagation(store, passes=4, write_property="wb")
     assert {v.id: v.get("wb") for v in graph.vertices()} == expected
 
 
 # ------------------------------------------------------------- dtype edges
-@needs_numpy
 def test_empty_graph_every_tier(monkeypatch):
     empty = CSRGraphStore.from_graph(PropertyGraph(name="empty"))
-    for tier in ("vectorized", "loops"):
+    for tier in ("vectorized", "reference"):
         pin_tier(monkeypatch, tier)
         assert bulk_k_hop_counts(empty, 3) == {}
         assert label_propagation(empty, passes=5, write_property=None) == {}
     assert compute_statistics(empty, use_cache=False).per_type == {}
 
 
-@needs_numpy
 def test_single_vertex_and_self_loop_source_never_counted(monkeypatch):
     g = PropertyGraph(name="one")
     g.add_vertex("only", "Job")
     lone = CSRGraphStore.from_graph(g)
     g.add_edge("only", "only", "SELF")
     looped = CSRGraphStore.from_graph(g)
-    for tier in ("vectorized", "loops"):
+    for tier in ("vectorized", "reference"):
         pin_tier(monkeypatch, tier)
         assert bulk_k_hop_counts(lone, 2) == {"only": 0}
         # The source is pre-stamped: a self-loop closing straight back onto
@@ -193,23 +165,20 @@ def test_single_vertex_and_self_loop_source_never_counted(monkeypatch):
 
 
 def test_index_dtype_widening_guard():
-    _np = pytest.importorskip("numpy")
-    assert csr._index_dtype(csr._INT32_LIMIT) == _np.int32
-    assert csr._index_dtype(csr._INT32_LIMIT + 1) == _np.int64
-    assert csr._index_array([0, 1, 2], 2).dtype == _np.int32
+    assert csr._index_dtype(csr._INT32_LIMIT) == np.int32
+    assert csr._index_dtype(csr._INT32_LIMIT + 1) == np.int64
+    assert csr._index_array([0, 1, 2], 2).dtype == np.int32
 
 
-@needs_numpy
 def test_int64_widened_store_matches_int32_results(monkeypatch):
     """Shrinking ``_INT32_LIMIT`` forces the whole stack — CSR arrays,
     gather positions, and the bulk kernel's packed sort keys — onto the
     ``int64`` path; results must be bit-identical to the ``int32`` run."""
-    _np = pytest.importorskip("numpy")
     graph = GRAPH_BUILDERS["erdos"]()
     pin_tier(monkeypatch, "vectorized")
     narrow_store = CSRGraphStore.from_graph(graph)
     offsets, targets = narrow_store.csr_ndarrays("out")
-    assert offsets.dtype == _np.int32 and targets.dtype == _np.int32
+    assert offsets.dtype == np.int32 and targets.dtype == np.int32
     expected_bulk = kernels.bulk_k_hop_counts(narrow_store, 3,
                                               direction="both")
     expected_lpa = label_propagation(narrow_store, passes=6,
@@ -218,66 +187,32 @@ def test_int64_widened_store_matches_int32_results(monkeypatch):
     monkeypatch.setattr(csr, "_INT32_LIMIT", 1)
     wide_store = CSRGraphStore.from_graph(graph)
     offsets, targets = wide_store.csr_ndarrays("out")
-    assert offsets.dtype == _np.int64 and targets.dtype == _np.int64
+    assert offsets.dtype == np.int64 and targets.dtype == np.int64
     assert kernels.bulk_k_hop_counts(wide_store, 3,
                                      direction="both") == expected_bulk
     assert label_propagation(wide_store, passes=6,
                              write_property=None) == expected_lpa
-    # The widened run must also agree with the loop tier on the same store.
-    pin_tier(monkeypatch, "loops")
-    assert kernels.bulk_k_hop_counts(wide_store, 3,
-                                     direction="both") == expected_bulk
-
-
-# ---------------------------------------------------- numpy-absent fallback
-def test_store_built_without_numpy_pins_loop_tier(monkeypatch):
-    graph = GRAPH_BUILDERS["prov"]()
+    # The widened run must also agree with the reference on the same store.
     pin_tier(monkeypatch, "reference")
-    expected_bulk = bulk_k_hop_counts(graph, 3)
-    expected_lpa = label_propagation(graph, passes=5, write_property=None)
-
-    pin_tier(monkeypatch, "vectorized")
-    monkeypatch.setattr(csr, "_np", None)
-    fallback = CSRGraphStore.from_graph(graph)
-    assert not fallback.uses_ndarrays
-    assert not kernels.vectorized_enabled(fallback)
-    assert kernels.kernel_tier(fallback) == "loops"
-    assert bulk_k_hop_counts(fallback, 3) == expected_bulk
-    assert label_propagation(fallback, passes=5,
-                             write_property=None) == expected_lpa
-
-
-def test_kernels_without_numpy_pin_loop_tier(monkeypatch):
-    """Even an ndarray-backed store runs the loop kernels when the kernels
-    module itself lost its numpy import."""
-    graph = self_loop_heavy_graph()
-    store = CSRGraphStore.from_graph(graph)
-    pin_tier(monkeypatch, "reference")
-    expected = label_propagation(graph, passes=4, write_property=None)
-    pin_tier(monkeypatch, "vectorized")
-    monkeypatch.setattr(kernels, "_np", None)
-    assert not kernels.numpy_available()
-    assert kernels.kernel_tier(store) == "loops"
-    assert label_propagation(store, passes=4, write_property=None) == expected
-    assert bulk_k_hop_counts(store, 2) == bulk_k_hop_counts(graph, 2)
+    assert bulk_k_hop_counts(wide_store, 3, direction="both") == expected_bulk
 
 
 # ----------------------------------------------------- executor tier parity
-@needs_numpy
 def test_executor_gather_path_matches_loop_path(monkeypatch):
     """The batched-gather expansion returns the same rows AND the same work
-    counters as the per-binding loop path, so the ``max_work`` budget trips
-    at exactly the same threshold on both."""
+    counters as the per-source loop path (pinned by the reference escape
+    hatch), so the ``max_work`` budget trips at exactly the same threshold
+    on both."""
     graph = provenance_graph(num_jobs=25, seed=7)
     store = CSRGraphStore.from_graph(graph)
     query = parse_query(
         "MATCH (j:Job)-[:WRITES_TO]->(f:File), (f)-[:IS_READ_BY]->(b:Job) "
         "RETURN j, b")
     results = {}
-    for tier in ("vectorized", "loops"):
+    for tier in ("vectorized", "reference"):
         pin_tier(monkeypatch, tier)
         results[tier] = execute_query(store, query, engine="planner")
-    vec, loop = results["vectorized"], results["loops"]
+    vec, loop = results["vectorized"], results["reference"]
     assert sorted(map(str, vec.rows)) == sorted(map(str, loop.rows))
     for field in ("vertices_scanned", "edges_expanded", "bindings_produced",
                   "total_work"):
@@ -286,45 +221,44 @@ def test_executor_gather_path_matches_loop_path(monkeypatch):
     total = vec.stats.total_work
     for budget in (1, total // 2, total - 1, total):
         verdicts = {}
-        for tier in ("vectorized", "loops"):
+        for tier in ("vectorized", "reference"):
             pin_tier(monkeypatch, tier)
             try:
                 execute_query(store, query, engine="planner", max_work=budget)
                 verdicts[tier] = "ok"
             except QueryExecutionError:
                 verdicts[tier] = "over budget"
-        assert verdicts["vectorized"] == verdicts["loops"], budget
+        assert verdicts["vectorized"] == verdicts["reference"], budget
     assert verdicts["vectorized"] == "ok"  # the exact budget fits
 
 
 # ------------------------------------------------------- MVCC snapshot parity
-@needs_numpy
 def test_mvcc_pinned_snapshot_identical_across_tiers(monkeypatch):
     kaskade = Kaskade(provenance_graph(num_jobs=20, seed=3))
     manager = SnapshotManager(kaskade, max_retained=3)
     query = kaskade.parse("MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f")
     outcomes = {}
     with manager.pinned() as snapshot:
-        for tier in ("vectorized", "loops"):
+        for tier in ("vectorized", "reference"):
             pin_tier(monkeypatch, tier)
             outcomes[tier] = manager.execute_pinned(query, snapshot)
-    vec, loop = outcomes["vectorized"], outcomes["loops"]
-    assert sorted(map(str, vec.result.rows)) == sorted(map(str, loop.result.rows))
-    assert vec.executed_version == loop.executed_version
+    vec, ref = outcomes["vectorized"], outcomes["reference"]
+    assert sorted(map(str, vec.result.rows)) == sorted(map(str, ref.result.rows))
+    assert vec.executed_version == ref.executed_version
     assert len(vec.result.rows) > 0
 
 
 # --------------------------------------------------- statistics regression
-@needs_numpy
-def test_statistics_ndarray_matches_dict_scan_field_by_field(tier_graph,
-                                                             monkeypatch):
+def test_statistics_ndarray_matches_dict_scan_field_by_field(tier_graph):
+    """The CSR store's ndarray degree path against the dict graph's scan
+    (the snapshot is built directly, so no manager publishes it for
+    ``graph`` and the dict path really runs)."""
     graph = tier_graph
     store = CSRGraphStore.from_graph(graph)
     vec_stats = compute_statistics(store, use_cache=False)
     vec_hist = {vertex_type: out_degree_histogram(store, vertex_type)
                 for vertex_type in [None] + graph.vertex_types()}
-    monkeypatch.setattr(graph_statistics, "_np", None)
-    dict_stats = compute_statistics(store, use_cache=False)
+    dict_stats = compute_statistics(graph, use_cache=False)
     assert vec_stats.total_vertices == dict_stats.total_vertices
     assert vec_stats.total_edges == dict_stats.total_edges
     assert set(vec_stats.per_type) == set(dict_stats.per_type)
@@ -338,17 +272,17 @@ def test_statistics_ndarray_matches_dict_scan_field_by_field(tier_graph,
         assert got.max_out_degree == expected.max_out_degree
         assert got.percentiles == expected.percentiles
     for vertex_type in [None] + graph.vertex_types():
-        assert vec_hist[vertex_type] == out_degree_histogram(store, vertex_type)
+        assert vec_hist[vertex_type] == out_degree_histogram(graph, vertex_type)
 
 
 # --------------------------------------------------------- dispatch counter
-@needs_numpy
 def test_dispatch_counts_and_service_metrics_mirror(monkeypatch):
     graph = summarized_provenance_graph(num_jobs=30, seed=2)
     store = CSRGraphStore.from_graph(graph)
     metrics = ServiceMetrics()
     rendered = metrics.registry.render()
-    for path in ("vectorized", "loops", "reference"):
+    assert 'path="loops"' not in rendered
+    for path in ("vectorized", "reference"):
         # Pre-seeded: every series is visible on /metrics before any query.
         assert f'kaskade_kernel_dispatch_total{{path="{path}"}} 0' in rendered
     before = dict(kernels.dispatch_counts)
@@ -358,22 +292,27 @@ def test_dispatch_counts_and_service_metrics_mirror(monkeypatch):
     assert kernels.dispatch_counts["vectorized"] == before["vectorized"] + 1
     assert metrics.kernel_dispatch.value(path="vectorized") == 1
 
-    pin_tier(monkeypatch, "loops")
-    label_propagation(store, passes=1, write_property=None)
-    assert kernels.dispatch_counts["loops"] == before["loops"] + 1
-    assert metrics.kernel_dispatch.value(path="loops") == 1
-
     pin_tier(monkeypatch, "reference")
-    label_propagation(graph, passes=1, write_property=None)
+    label_propagation(store, passes=1, write_property=None)
     assert kernels.dispatch_counts["reference"] == before["reference"] + 1
     assert metrics.kernel_dispatch.value(path="reference") == 1
 
     rendered = metrics.registry.render()
     assert 'kaskade_kernel_dispatch_total{path="vectorized"} 1' in rendered
 
+    # With the vectorized tier off, the executor and the engine prediction
+    # attribute CSR work to the reference path too.
+    query = parse_query("MATCH (j:Job)-[:WRITES_TO]->(f:File) RETURN j, f")
+    assert kernels.engine_for(store) == "reference"
+    execute_query(store, query, engine="planner")
+    assert metrics.kernel_dispatch.value(path="reference") == 2
+    pin_tier(monkeypatch, "vectorized")
+    assert kernels.engine_for(store) == "kernel"
+    execute_query(store, query, engine="planner")
+    assert metrics.kernel_dispatch.value(path="vectorized") == 2
+
     # A discarded registry drops out of the subscriber list silently: the
     # weak reference dies, and the next dispatch must not raise.
-    pin_tier(monkeypatch, "vectorized")
     del metrics, rendered
     gc.collect()
     label_propagation(store, passes=0, write_property=None)

@@ -4,14 +4,21 @@ import json
 
 import pytest
 
-from repro.analytics import kernels
-from repro.errors import CircuitOpenError, DeadlineExceededError, ServiceError
+from repro.analytics import bulk_k_hop_counts, kernels, parallel
+from repro.datasets.provenance import summarized_provenance_graph
+from repro.errors import (
+    CircuitOpenError,
+    DeadlineExceededError,
+    ServiceError,
+    VertexNotFoundError,
+)
 from repro.service.client import (
     RETRYABLE_STATUSES,
     CircuitBreaker,
     KaskadeClient,
     RetryPolicy,
 )
+from repro.storage.csr import CSRGraphStore
 
 
 class ScriptedTransport:
@@ -198,8 +205,6 @@ class TestKernelDegradation:
         kernels.install_breaker(None)
 
     def test_open_breaker_disables_vectorized_tier(self):
-        if not kernels.numpy_available():
-            pytest.skip("vectorized tier absent in this environment")
         breaker = CircuitBreaker("kernels", failure_threshold=1)
         kernels.install_breaker(breaker)
         assert kernels.vectorized_enabled()
@@ -225,6 +230,56 @@ class TestKernelDegradation:
         assert breaker.state == "half-open"
         kernels._vectorized_succeeded()
         assert breaker.state == "closed"
+
+    @pytest.fixture
+    def graphs(self, monkeypatch):
+        """A provenance graph, its CSR store, and its reference Q2 rows."""
+        graph = summarized_provenance_graph(num_jobs=30, seed=2)
+        monkeypatch.setenv(kernels.FORCE_REFERENCE_ENV, "1")
+        expected = bulk_k_hop_counts(graph, 3, direction="in")
+        monkeypatch.delenv(kernels.FORCE_REFERENCE_ENV)
+        return graph, CSRGraphStore.from_graph(graph), expected
+
+    def test_failing_kernel_degrades_to_reference(self, graphs, monkeypatch):
+        _graph, store, expected = graphs
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("vectorized kernel fault")
+
+        monkeypatch.setattr(kernels, "_bulk_k_hop_counts_np", broken)
+        breaker = CircuitBreaker("kernels", failure_threshold=5)
+        kernels.install_breaker(breaker)
+        assert bulk_k_hop_counts(store, 3, direction="in") == expected
+        assert breaker.recent_failures == 1
+        kernels.install_breaker(None)
+        with pytest.raises(RuntimeError, match="vectorized kernel fault"):
+            bulk_k_hop_counts(store, 3, direction="in")
+
+    def test_unknown_vertex_is_not_a_kernel_fault(self, graphs):
+        _graph, store, _expected = graphs
+        breaker = CircuitBreaker("kernels", failure_threshold=5)
+        kernels.install_breaker(breaker)
+        with pytest.raises(VertexNotFoundError):
+            bulk_k_hop_counts(store, 3, anchors=["ghost"])
+        assert breaker.recent_failures == 0
+
+    def test_open_breaker_runs_reference_and_never_partitions(
+            self, graphs, monkeypatch):
+        _graph, store, expected = graphs
+        monkeypatch.setenv(parallel.SHARD_MIN_EDGES_ENV, "1")
+        assert store.num_edges >= parallel.shard_min_edges()
+        breaker = CircuitBreaker("kernels", failure_threshold=1,
+                                 reset_seconds=float("inf"))
+        breaker.record_failure()
+        kernels.install_breaker(breaker)
+        before = dict(kernels.dispatch_counts)
+        try:
+            assert bulk_k_hop_counts(store, 3, direction="in") == expected
+            assert parallel.peek_parallel(store) is None
+        finally:
+            parallel.release_store(store)
+        assert kernels.dispatch_counts["reference"] == before["reference"] + 1
+        assert kernels.dispatch_counts["vectorized"] == before["vectorized"]
 
     def test_breaker_is_weakly_held(self):
         breaker = CircuitBreaker("ephemeral")

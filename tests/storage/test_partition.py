@@ -170,17 +170,6 @@ def test_invalid_shard_count_rejected(store):
         GraphPartitioner(0)
 
 
-def test_non_ndarray_store_rejected(monkeypatch):
-    from repro.storage import csr as csr_module
-
-    monkeypatch.setattr(csr_module, "_np", None)
-    graph = summarized_provenance_graph(num_jobs=20, seed=3)
-    store = CSRGraphStore.from_graph(graph)
-    assert not store.uses_ndarrays
-    with pytest.raises(GraphError):
-        GraphPartitioner(2).partition(store)
-
-
 def test_direction_validation_on_attached_blocks(store):
     partition = GraphPartitioner(2).partition(store)
     try:
